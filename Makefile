@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint lint-sarif tier1 tier2 serve-smoke chaos bench bench-serve bench-fold bench-predict bench-ingest benchall profile
+.PHONY: all build test race vet lint lint-sarif tier1 tier2 serve-smoke chaos bench-quick bench bench-serve bench-fold bench-predict bench-ingest benchall profile
 
 all: tier1
 
@@ -25,7 +25,7 @@ race:
 
 tier1: build test
 
-tier2: vet lint race serve-smoke chaos
+tier2: vet lint race serve-smoke chaos bench-quick
 
 # lint: fotlint runs the project-specific analyzers (determinism,
 # durability, clock-injection, and concurrency-contract invariants)
@@ -56,6 +56,19 @@ serve-smoke:
 # byte-identical responses. `-short` drops to 100 clients.
 chaos:
 	$(GO) test -race -run TestChaosReplicaKillRestartUnderLoad -v ./internal/router/
+
+# bench-quick: the pipeline benchmark (bench/, BENCHMARK.json) is a
+# module of its own compiled against dcfail/internal/..., so the root
+# `./...` never builds it: vet and test it from inside, then run one
+# short mixed_live pass over the real tier so a broken exported
+# signature or Type-1 gate (routed /report == SerialReference, served ==
+# boot + acked, zero rebuilds/drops/sheds) fails here. The result line
+# lands in bench-quick.jsonl, which CI uploads; its numbers are a smoke
+# reading, not a measurement.
+bench-quick:
+	cd bench && $(GO) vet . && $(GO) test .
+	rm -f bench-quick.jsonl
+	bash bench/run.sh --workload mixed_live --seed 42 --seconds 6 --trace 0 -quick -record bench-quick.jsonl
 
 # bench: the headline serial-vs-parallel full-report comparison at paper
 # scale; writes BENCH_report.json in the repo root.

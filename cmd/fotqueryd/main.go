@@ -94,7 +94,7 @@ func run(args []string, w io.Writer) error {
 	degradedAfter := fs.Duration("degraded-after", 0, "report /healthz degraded once source lag exceeds this; 0 = never")
 	subBuffer := fs.Int("sub-buffer", 4096, "collector subscription buffer; overflow is dropped and counted")
 	pollInterval := fs.Duration("poll-interval", 500*time.Millisecond, "archive re-poll interval while idle")
-	foldInterval := fs.Duration("fold-interval", 200*time.Millisecond, "max delay before pending tickets fold into a new epoch")
+	foldInterval := fs.Duration("fold-interval", 200*time.Millisecond, "how often the /report view may catch up with folded tickets (tickets themselves fold, and show in /hosts, /predict and /atrisk, as they arrive)")
 	foldBatch := fs.Int("fold-batch", 8192, "fold early once this many tickets are pending")
 	workers := fs.Int("workers", 0, "parallel section workers; 0 = one per CPU")
 	maxConcurrent := fs.Int("max-concurrent", 64, "max in-flight HTTP requests")
@@ -320,7 +320,8 @@ func pprofMux() *http.ServeMux {
 
 // smokeTest exercises the daemon's own API end to end: wait for the
 // generated trace to drain, then hit /healthz, one report section,
-// /stats and the pprof sidecar, sanity-checking each reply.
+// /stats (both clocks included) and the pprof sidecar, sanity-checking
+// each reply.
 func smokeTest(w io.Writer, d *serve.Daemon, base, pprofURL string) error {
 	deadline := time.Now().Add(60 * time.Second)
 	for !d.Drained() {
@@ -364,6 +365,22 @@ func smokeTest(w io.Writer, d *serve.Daemon, base, pprofURL string) error {
 	}
 	if stats.Predict.Hosts == 0 || stats.Predict.Epoch != stats.Epoch {
 		return fmt.Errorf("/stats predictor not settled: %+v against epoch %d", stats.Predict, stats.Epoch)
+	}
+	// Both clocks, apart: every fold published an epoch, and the one
+	// report asked for above brought the view to the drained state.
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(body, &fields); err != nil {
+		return fmt.Errorf("/stats: %w", err)
+	}
+	for _, name := range []string{"folds", "report_epoch", "report_advances", "report_lag_ms"} {
+		if _, ok := fields[name]; !ok {
+			return fmt.Errorf("/stats has no %q field", name)
+		}
+	}
+	if stats.Folds != stats.Epoch || stats.ReportEpoch != stats.Epoch || stats.ReportLagMS != 0 ||
+		stats.ReportAdvances == 0 || stats.ReportAdvances > stats.Folds {
+		return fmt.Errorf("/stats clocks incoherent: epoch=%d folds=%d report_epoch=%d report_advances=%d report_lag_ms=%d",
+			stats.Epoch, stats.Folds, stats.ReportEpoch, stats.ReportAdvances, stats.ReportLagMS)
 	}
 
 	// The streaming predictor: rank the fleet, then score the top host.

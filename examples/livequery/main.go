@@ -54,7 +54,9 @@ func run() error {
 	defer collector.Close()
 	sub := collector.SubscribeTickets(4096)
 
-	// 3. The query daemon folds the subscription into live epochs.
+	// 3. The query daemon folds the subscription into live epochs as the
+	// tickets arrive. FoldInterval paces the other clock: how often the
+	// view /report renders from may catch up with what has been folded.
 	d := serve.New(serve.Options{
 		Census:       core.CensusFromFleet(res.Fleet),
 		FoldInterval: 50 * time.Millisecond,
@@ -89,7 +91,7 @@ func run() error {
 			InWarranty: tk.Category != fot.Error,
 		}
 		if (i+1)%third == 0 {
-			time.Sleep(120 * time.Millisecond) // let a fold land
+			time.Sleep(20 * time.Millisecond) // let the fold land
 			if err := printStats(base, fmt.Sprintf("after %d reports", i+1)); err != nil {
 				return err
 			}
@@ -145,8 +147,8 @@ func printStats(base, label string) error {
 	if err := json.Unmarshal(body, &st); err != nil {
 		return err
 	}
-	fmt.Printf("%-18s epoch %-3d %5d tickets folded, cache %d/%d hits\n",
-		label+":", st.Epoch, st.Tickets, st.CacheHits, st.CacheHits+st.CacheMisses)
+	fmt.Printf("%-18s epoch %-3d %5d tickets folded, report view at epoch %d, cache %d/%d hits\n",
+		label+":", st.Epoch, st.Tickets, st.ReportEpoch, st.CacheHits, st.CacheHits+st.CacheMisses)
 	return nil
 }
 

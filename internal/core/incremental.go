@@ -2,8 +2,10 @@ package core
 
 import (
 	"io"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"dcfail/internal/fot"
 )
@@ -51,9 +53,10 @@ type IncrementalEngineStats struct {
 }
 
 // IncrementalEngine carries every section's fold state across epochs.
-// Advance (one caller at a time, the fold path) consumes appended row
-// ranges; TryRender serves section renders from state under a read lock,
-// so renders of the current epoch never race the next fold's Update.
+// Advance (one caller at a time — serve's report-view advance) consumes
+// appended row ranges, however many epochs they were published in;
+// TryRender serves section renders from state under a read lock, so
+// renders of the engine's epoch never race the next Advance's Update.
 //
 // The engine assumes rows are appended in global (time, id) order — the
 // invariant live sources provide. When a batch violates it (out-of-order
@@ -94,7 +97,7 @@ func NewIncrementalEngine(sections []IncrementalSection) *IncrementalEngine {
 // with epoch. It returns the set of section ids whose rendered output may
 // differ from the previous epoch; ids absent from the map are guaranteed
 // byte-identical, so cached renders may be carried forward. Advance must
-// be externally serialized with respect to itself (serve's fold mutex).
+// be externally serialized with respect to itself (serve's view mutex).
 func (e *IncrementalEngine) Advance(ix *fot.TraceIndex, epoch uint64) map[string]bool {
 	cols := ix.Cols()
 	n := ix.Len()
@@ -151,15 +154,53 @@ func (e *IncrementalEngine) Advance(ix *fot.TraceIndex, epoch uint64) map[string
 	return changed
 }
 
-// foldLocked runs every live section's Update over rows.
+// parallelFoldRows is the delta size from which foldLocked spreads the
+// sections' Updates over the CPUs. A live fold's few hundred rows cost
+// each section microseconds, less than a hand-off; a catch-up over a
+// whole trace (cold start, boot prefix, a report view that stood through
+// a backlog) costs tens of milliseconds per section.
+const parallelFoldRows = 4096
+
+// foldLocked runs every live section's Update over rows. Updates are
+// independent — each reads the shared index and its own state — so a
+// large delta runs them concurrently; results are applied in section
+// order either way.
 func (e *IncrementalEngine) foldLocked(ix *fot.TraceIndex, rows []int32, changed map[string]bool) {
+	type result struct {
+		next SectionState
+		err  error
+	}
+	results := make([]result, len(e.sections))
+	update := func(i int) {
+		if !e.broken[i] {
+			results[i].next, results[i].err = e.sections[i].Update(e.states[i], ix, rows)
+		}
+	}
+	if workers := min(runtime.GOMAXPROCS(0), len(e.sections)); workers > 1 && len(rows) >= parallelFoldRows {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := int(next.Add(1)) - 1; i < len(e.sections); i = int(next.Add(1)) - 1 {
+					update(i)
+				}
+			}()
+		}
+		wg.Wait()
+	} else {
+		for i := range e.sections {
+			update(i)
+		}
+	}
 	for i, sec := range e.sections {
 		if e.broken[i] {
 			// Full-fallback sections re-render from the new index.
 			changed[sec.ID] = true
 			continue
 		}
-		next, err := sec.Update(e.states[i], ix, rows)
+		next, err := results[i].next, results[i].err
 		if err != nil {
 			e.states[i] = nil
 			e.broken[i] = true

@@ -227,6 +227,15 @@ func extend(prev *Columns, tickets []Ticket) *Columns {
 		fillRow(c, i, &tickets[i], idcs.intern, lines.intern, types.intern, slots.intern)
 	}
 	c.idcs, c.lines, c.types, c.slots = idcs.tab, lines.tab, types.tab, slots.tab
+	// A tail that sorts after everything before it — the live case —
+	// extends the permutation in place as well: O(tail), and no chain of
+	// parents waits for a render that may be many epochs away. Anything
+	// else keeps the lazy merge in Perm.
+	if perm, ok := appendPerm(c, prev.Perm(), pn); ok {
+		c.permVal = perm
+		c.permDone.Store(true)
+		c.parent = nil
+	}
 	return c
 }
 
@@ -266,9 +275,13 @@ func (c *Columns) rowLess(a, b int32) int {
 }
 
 // Perm returns all rows ordered by (time, id). It is computed once: an
-// extended Columns merges its parent's already-sorted permutation with
-// the sorted tail in O(n) instead of re-sorting the world.
+// extension whose tail arrived in order already holds it (see extend);
+// one whose tail did not merges its parent's sorted permutation with the
+// sorted tail in O(n) instead of re-sorting the world.
 func (c *Columns) Perm() []int32 {
+	if c.permDone.Load() {
+		return c.permVal
+	}
 	c.permOnce.Do(func() {
 		if p := c.parent; p != nil && p.permDone.Load() {
 			c.permVal = mergePerm(c, p.permVal, c.parentLen)
@@ -290,12 +303,30 @@ func sortPerm(c *Columns) []int32 {
 	return perm
 }
 
-func mergePerm(c *Columns, parentPerm []int32, parentLen int) []int32 {
+// sortedTail returns rows [parentLen, c.Len()) in (time, id) order.
+func sortedTail(c *Columns, parentLen int) []int32 {
 	tail := make([]int32, 0, c.Len()-parentLen)
 	for i := parentLen; i < c.Len(); i++ {
 		tail = append(tail, int32(i))
 	}
 	slices.SortFunc(tail, c.rowLess)
+	return tail
+}
+
+// appendPerm extends parentPerm by c's tail rows when none of them sorts
+// before the parent's last row; ok is false otherwise. The result shares
+// parentPerm's backing array, which is safe for the same reason the
+// columns share theirs: a parent donates its capacity to one extension.
+func appendPerm(c *Columns, parentPerm []int32, parentLen int) ([]int32, bool) {
+	tail := sortedTail(c, parentLen)
+	if len(tail) > 0 && len(parentPerm) > 0 && c.rowLess(parentPerm[len(parentPerm)-1], tail[0]) > 0 {
+		return nil, false
+	}
+	return append(parentPerm, tail...), true
+}
+
+func mergePerm(c *Columns, parentPerm []int32, parentLen int) []int32 {
+	tail := sortedTail(c, parentLen)
 	out := make([]int32, 0, c.Len())
 	i, j := 0, 0
 	for i < len(parentPerm) && j < len(tail) {

@@ -157,3 +157,47 @@ func TestTraceIndexMemoBuildsOnce(t *testing.T) {
 		t.Fatalf("second key returned %v", v)
 	}
 }
+
+// TestExtendInOrderTailExtendsPermInPlace covers the live shape: every
+// epoch's rows sort at or after everything before them (ties on time
+// included). The permutation must then be complete as soon as the
+// columns are — no parent chain left waiting for a render — equal a
+// fresh build at every epoch, and leave earlier epochs' views intact.
+func TestExtendInOrderTailExtendsPermInPlace(t *testing.T) {
+	var all []Ticket
+	for i := 1; i <= 60; i++ {
+		tk := mkTicket(uint64(i))
+		tk.Time = t0.Add(time.Duration(i/3) * time.Hour) // three-way ties
+		if i%4 == 0 {
+			tk.Category = Error
+		}
+		all = append(all, tk)
+	}
+	// Within one batch rows may arrive shuffled; only batches are ordered.
+	all[40], all[44] = all[44], all[40]
+
+	var chain []*TraceIndex
+	var prev *TraceIndex
+	for _, n := range []int{10, 11, 30, 39, 48, 60} {
+		ix := ExtendTraceIndex(prev, NewTrace(all[:n:n]))
+		c := ix.Cols()
+		if prev != nil && (!c.permDone.Load() || c.parent != nil) {
+			t.Fatalf("epoch of %d rows: in-order tail left the permutation lazy", n)
+		}
+		chain = append(chain, ix)
+		prev = ix
+	}
+	for _, ix := range chain {
+		requireSameViews(t, ix, NewTraceIndex(NewTrace(all[:ix.Len():ix.Len()])))
+	}
+
+	// A late row falls back to the lazy merge and is still right.
+	late := mkTicket(1000)
+	late.Time = t0.Add(2 * time.Hour)
+	grown := append(slices.Clip(all), late)
+	ext := ExtendTraceIndex(prev, NewTrace(grown))
+	if c := ext.Cols(); c.permDone.Load() {
+		t.Fatal("an out-of-order tail must not be appended to the permutation")
+	}
+	requireSameViews(t, ext, NewTraceIndex(NewTrace(grown)))
+}

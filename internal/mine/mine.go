@@ -20,6 +20,8 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"dcfail/internal/fot"
@@ -32,58 +34,153 @@ type slotKey struct {
 	slot string
 }
 
-// Index holds the per-host and per-slot orderings Contextualize needs.
-// Build once per trace; safe for concurrent reads afterwards.
+// Index answers Contextualize and HostTickets over one trace. It is a
+// read-only view of n rows over posting lists that an IndexBuilder may
+// keep appending to for later views; safe for concurrent reads.
 type Index struct {
-	trace  *fot.Trace
-	byID   map[uint64]int
-	byHost map[uint64][]int // ticket indexes, time-ordered
-	bySlot map[slotKey][]int
-	// byTypeTime: per (device, type), time-ordered ticket indexes for
-	// batch-peer and twin lookups.
-	byTypeTime map[[2]string][]int
+	trace *fot.Trace
+	n     int
+	p     *postings
 }
 
-// NewIndex builds the mining index over a trace. The trace must not be
-// mutated afterwards.
-func NewIndex(tr *fot.Trace) (*Index, error) {
-	if tr == nil || tr.Len() == 0 {
-		return nil, fmt.Errorf("mine: empty trace")
-	}
-	ix := &Index{
-		trace:      tr,
-		byID:       make(map[uint64]int, tr.Len()),
-		byHost:     make(map[uint64][]int),
-		bySlot:     make(map[slotKey][]int),
-		byTypeTime: make(map[[2]string][]int),
-	}
-	order := make([]int, tr.Len())
-	for i := range order {
-		order[i] = i
+// postings are the per-host, per-slot and per-(device, type) row lists,
+// each in detection-time order. They only ever grow by rows that sort
+// after everything already listed, so every view of fewer rows is a
+// prefix of each list: rows >= n sit in a list's ascending tail and a
+// view clips them off.
+type postings struct {
+	mu         sync.RWMutex
+	rows       int
+	lastTime   time.Time // detection time of the newest listed row
+	byID       map[uint64]int
+	byHost     map[uint64][]int
+	bySlot     map[slotKey][]int
+	byTypeTime map[[2]string][]int
+	err        error // duplicate ticket id; every longer trace has it too
+}
+
+// add lists tr's rows [p.rows, tr.Len()) in stable detection-time
+// order — the order NewIndex has always listed a whole trace in.
+func (p *postings) add(tr *fot.Trace) {
+	order := make([]int, 0, tr.Len()-p.rows)
+	for i := p.rows; i < tr.Len(); i++ {
+		order = append(order, i)
 	}
 	slices.SortStableFunc(order, func(a, b int) int {
 		return tr.Tickets[a].Time.Compare(tr.Tickets[b].Time)
 	})
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	for _, i := range order {
 		t := &tr.Tickets[i]
-		if _, dup := ix.byID[t.ID]; dup {
-			return nil, fmt.Errorf("mine: duplicate ticket id %d", t.ID)
+		if _, dup := p.byID[t.ID]; dup {
+			if p.err == nil {
+				p.err = fmt.Errorf("mine: duplicate ticket id %d", t.ID)
+			}
+			continue
 		}
-		ix.byID[t.ID] = i
-		ix.byHost[t.HostID] = append(ix.byHost[t.HostID], i)
+		p.byID[t.ID] = i
+		p.byHost[t.HostID] = append(p.byHost[t.HostID], i)
 		sk := slotKey{t.HostID, t.Device, t.Slot}
-		ix.bySlot[sk] = append(ix.bySlot[sk], i)
+		p.bySlot[sk] = append(p.bySlot[sk], i)
 		tk := [2]string{t.Device.String(), t.Type}
-		ix.byTypeTime[tk] = append(ix.byTypeTime[tk], i)
+		p.byTypeTime[tk] = append(p.byTypeTime[tk], i)
 	}
-	return ix, nil
+	if len(order) > 0 {
+		p.lastTime = tr.Tickets[order[len(order)-1]].Time
+	}
+	p.rows = tr.Len()
+}
+
+// clip drops the rows a view of n rows does not cover.
+func clip(list []int, n int) []int {
+	if len(list) == 0 || list[len(list)-1] < n {
+		return list
+	}
+	return list[:sort.Search(len(list), func(i int) bool { return list[i] >= n })]
+}
+
+// rowsOf reads one posting list and clips it to the view.
+func rowsOf[K comparable](ix *Index, lists map[K][]int, key K) []int {
+	ix.p.mu.RLock()
+	list := lists[key]
+	ix.p.mu.RUnlock()
+	return clip(list, ix.n)
+}
+
+func (ix *Index) rowOf(id uint64) (int, bool) {
+	ix.p.mu.RLock()
+	row, ok := ix.p.byID[id]
+	ix.p.mu.RUnlock()
+	return row, ok && row < ix.n
+}
+
+// IndexBuilder keeps one mining index current over an append-only
+// trace: each Extend lists only the rows appended since the last one and
+// returns a view of exactly the trace it was given, equal to NewIndex
+// over it. Extend calls must be serialized; the views are not tied to
+// that lock.
+type IndexBuilder struct {
+	p        *postings
+	rebuilds atomic.Uint64
+}
+
+// Extend returns the index over tr, which must hold the previously
+// extended trace as a prefix. Appended rows older than a listed one (a
+// backfill, an out-of-order reattach) cannot be appended to time-ordered
+// lists: the builder then starts new lists over the whole trace — views
+// handed out before keep the old ones — and counts a rebuild.
+func (b *IndexBuilder) Extend(tr *fot.Trace) (*Index, error) {
+	if tr == nil || tr.Len() == 0 {
+		return nil, fmt.Errorf("mine: empty trace")
+	}
+	if b.p != nil && !b.inOrder(tr) {
+		b.p = nil
+		b.rebuilds.Add(1)
+	}
+	if b.p == nil {
+		b.p = &postings{
+			byID:       make(map[uint64]int, tr.Len()),
+			byHost:     make(map[uint64][]int),
+			bySlot:     make(map[slotKey][]int),
+			byTypeTime: make(map[[2]string][]int),
+		}
+	}
+	b.p.add(tr)
+	if b.p.err != nil {
+		return nil, b.p.err
+	}
+	return &Index{trace: tr, n: tr.Len(), p: b.p}, nil
+}
+
+// inOrder reports whether tr extends the listed rows without any
+// appended row sorting before one of them.
+func (b *IndexBuilder) inOrder(tr *fot.Trace) bool {
+	if tr.Len() < b.p.rows {
+		return false
+	}
+	for i := b.p.rows; i < tr.Len(); i++ {
+		if tr.Tickets[i].Time.Before(b.p.lastTime) {
+			return false
+		}
+	}
+	return true
+}
+
+// Rebuilds counts the Extend calls that could not append.
+func (b *IndexBuilder) Rebuilds() uint64 { return b.rebuilds.Load() }
+
+// NewIndex builds the mining index over a trace. The trace must not be
+// mutated afterwards.
+func NewIndex(tr *fot.Trace) (*Index, error) {
+	return new(IndexBuilder).Extend(tr)
 }
 
 // HostTickets returns one host's tickets in detection-time order (nil
 // for a host with no tickets). The returned slice is freshly allocated;
 // the tickets themselves are shared with the index's trace.
 func (ix *Index) HostTickets(host uint64) []fot.Ticket {
-	idxs := ix.byHost[host]
+	idxs := rowsOf(ix, ix.p.byHost, host)
 	if len(idxs) == 0 {
 		return nil
 	}
@@ -128,7 +225,7 @@ func (c *Context) IsBatchSuspect() bool { return c.BatchPeers >= 10 }
 
 // Contextualize assembles the Context for a ticket id.
 func (ix *Index) Contextualize(id uint64) (*Context, error) {
-	idx, ok := ix.byID[id]
+	idx, ok := ix.rowOf(id)
 	if !ok {
 		return nil, fmt.Errorf("mine: unknown ticket id %d", id)
 	}
@@ -138,7 +235,7 @@ func (ix *Index) Contextualize(id uint64) (*Context, error) {
 	ctx := &Context{Ticket: t, BatchWindow: batchWindow}
 
 	// Server history: earlier tickets on the host, most recent first.
-	hostTickets := ix.byHost[t.HostID]
+	hostTickets := rowsOf(ix, ix.p.byHost, t.HostID)
 	for i := len(hostTickets) - 1; i >= 0; i-- {
 		ht := ix.trace.Tickets[hostTickets[i]]
 		if !ht.Time.Before(t.Time) || ht.ID == t.ID {
@@ -150,7 +247,7 @@ func (ix *Index) Contextualize(id uint64) (*Context, error) {
 		}
 	}
 	// Slot repeat chain.
-	for _, si := range ix.bySlot[slotKey{t.HostID, t.Device, t.Slot}] {
+	for _, si := range rowsOf(ix, ix.p.bySlot, slotKey{t.HostID, t.Device, t.Slot}) {
 		st := ix.trace.Tickets[si]
 		if st.ID == t.ID || !st.Time.Before(t.Time) || st.Type != t.Type {
 			continue
@@ -160,7 +257,7 @@ func (ix *Index) Contextualize(id uint64) (*Context, error) {
 		ctx.LastSameFailure = &cp
 	}
 	// Batch peers and twins.
-	peers := ix.byTypeTime[[2]string{t.Device.String(), t.Type}]
+	peers := rowsOf(ix, ix.p.byTypeTime, [2]string{t.Device.String(), t.Type})
 	lo := sort.Search(len(peers), func(i int) bool {
 		return !ix.trace.Tickets[peers[i]].Time.Before(t.Time.Add(-batchWindow))
 	})

@@ -134,17 +134,22 @@ func (s *Server) stream(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 
-	w := bufio.NewWriter(conn)
+	// Frames are buffered and flushed once per wake-up (flush below): an
+	// epoch's rows and its marker leave in one write, which matters now
+	// that the primary publishes an epoch every few milliseconds.
+	w := bufio.NewWriterSize(conn, 64<<10)
+	write := func(b []byte) bool {
+		conn.SetWriteDeadline(s.now().Add(s.opts.WriteTimeout))
+		_, err := w.Write(b)
+		return err == nil
+	}
+	flush := func() bool {
+		conn.SetWriteDeadline(s.now().Add(s.opts.WriteTimeout))
+		return w.Flush() == nil
+	}
 	send := func(m *Message) bool {
 		line, err := encode(m)
-		if err != nil {
-			return false
-		}
-		conn.SetWriteDeadline(s.now().Add(s.opts.WriteTimeout))
-		if _, err := w.Write(line); err != nil {
-			return false
-		}
-		return w.Flush() == nil
+		return err == nil && write(line)
 	}
 
 	// The one request: the replica's resume position.
@@ -157,6 +162,7 @@ func (s *Server) stream(conn net.Conn) {
 	var req Message
 	if err := json.Unmarshal(sc.Bytes(), &req); err != nil || req.Kind != KindSync || req.Row < 0 {
 		send(&Message{Kind: KindError, Error: "replica: malformed sync request"})
+		flush()
 		return
 	}
 	tip := s.state.Current()
@@ -167,6 +173,7 @@ func (s *Server) stream(conn net.Conn) {
 		send(&Message{Kind: KindError,
 			Error: fmt.Sprintf("replica: subscriber at (epoch %d, row %d) is ahead of primary (epoch %d, row %d)",
 				req.Epoch, req.Row, tip.Epoch(), tip.Tickets())})
+		flush()
 		return
 	}
 
@@ -187,21 +194,23 @@ func (s *Server) stream(conn net.Conn) {
 	if binary {
 		enc = wire.NewEncoder()
 	}
-	sendBin := func(b []byte) bool {
-		conn.SetWriteDeadline(s.now().Add(s.opts.WriteTimeout))
-		if _, err := w.Write(b); err != nil {
-			return false
+	sendError := func(msg string) {
+		if binary {
+			frame = wire.AppendError(frame[:0], "", msg)
+			write(frame)
+		} else {
+			send(&Message{Kind: KindError, Error: msg})
 		}
-		return w.Flush() == nil
+		flush()
 	}
 	sendRow := func(row int, t *fot.Ticket) bool {
 		if binary {
 			frame = enc.AppendRow(frame[:0], row, t)
-			return sendBin(frame)
+			return write(frame)
 		}
 		m, err := rowMessage(row, *t)
 		if err != nil {
-			send(&Message{Kind: KindError, Error: err.Error()})
+			sendError(err.Error())
 			return false
 		}
 		return send(m)
@@ -209,24 +218,16 @@ func (s *Server) stream(conn net.Conn) {
 	sendEpoch := func(epoch uint64, rows int, foldedAt time.Time) bool {
 		if binary {
 			frame = wire.AppendEpoch(frame[:0], epoch, rows, foldedAt)
-			return sendBin(frame)
+			return write(frame)
 		}
 		return send(&Message{Kind: KindEpoch, Epoch: epoch, Rows: rows, FoldedAt: foldedAt})
 	}
 	sendHello := func(epoch uint64, rows int) bool {
 		if binary {
 			frame = wire.AppendHello(frame[:0], epoch, rows)
-			return sendBin(frame)
+			return write(frame)
 		}
 		return send(&Message{Kind: KindHello, Epoch: epoch, Rows: rows})
-	}
-	sendError := func(msg string) {
-		if binary {
-			frame = wire.AppendError(frame[:0], "", msg)
-			sendBin(frame)
-			return
-		}
-		send(&Message{Kind: KindError, Error: msg})
 	}
 
 	watch := s.state.Watch()
@@ -261,6 +262,9 @@ func (s *Server) stream(conn net.Conn) {
 				return
 			}
 			sentEpoch = snap.Epoch()
+		}
+		if !flush() {
+			return
 		}
 		select {
 		case <-watch:

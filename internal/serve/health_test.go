@@ -25,55 +25,6 @@ func healthz(t *testing.T, srv *httptest.Server) (int, HealthReply) {
 	return resp.StatusCode, reply
 }
 
-// TestHealthzDegradesOnSourceLag pins the failover signal: once pending
-// tickets have waited longer than DegradedAfter, /healthz flips to 503 +
-// status "degraded"; folding them flips it back. The clock is injected so
-// the lag is exact, and the fold interval is effectively infinite so the
-// test controls every fold.
-func TestHealthzDegradesOnSourceLag(t *testing.T) {
-	_, census := smallWorld(t)
-	now := time.Date(2016, 4, 1, 0, 0, 0, 0, time.UTC)
-	clock := func() time.Time { return now }
-	d := New(Options{
-		Census:        census,
-		FoldInterval:  time.Hour,
-		DegradedAfter: 500 * time.Millisecond,
-		Now:           clock,
-	})
-	srv := httptest.NewServer(d.Handler())
-	defer srv.Close()
-
-	// Nothing pending: healthy.
-	if code, reply := healthz(t, srv); code != http.StatusOK || reply.Status != HealthOK {
-		t.Fatalf("idle healthz = %d %+v, want 200 ok", code, reply)
-	}
-
-	// Fold one ticket so FoldedAt is set, then simulate a stuck source:
-	// pending tickets age past the threshold without a fold.
-	tk := fot.Ticket{ID: 1, HostID: 1, IDC: "dc01", Device: fot.HDD, Type: "SMARTFail",
-		Time: now, Category: fot.Fixing, Action: fot.ActionRepairOrder}
-	d.state.Fold([]fot.Ticket{tk}, now)
-	d.pending.Store(3)
-	now = now.Add(200 * time.Millisecond)
-	if code, reply := healthz(t, srv); code != http.StatusOK || reply.Status != HealthOK {
-		t.Fatalf("lag under threshold: healthz = %d %+v, want 200 ok", code, reply)
-	}
-	now = now.Add(time.Second)
-	code, reply := healthz(t, srv)
-	if code != http.StatusServiceUnavailable || reply.Status != HealthDegraded {
-		t.Fatalf("lag over threshold: healthz = %d %+v, want 503 degraded", code, reply)
-	}
-	if reply.Reason == "" || reply.LagMS < 1000 {
-		t.Fatalf("degraded reply carries no diagnosis: %+v", reply)
-	}
-
-	// The fold catches up: healthy again, epoch visible.
-	d.pending.Store(0)
-	if code, reply := healthz(t, srv); code != http.StatusOK || reply.Status != HealthOK || reply.Epoch != 1 {
-		t.Fatalf("recovered healthz = %d %+v, want 200 ok at epoch 1", code, reply)
-	}
-}
-
 // TestHealthzUsesLagProbe: a replica daemon reports replication lag, not
 // pending-queue lag — SetLagProbe overrides the measurement.
 func TestHealthzUsesLagProbe(t *testing.T) {

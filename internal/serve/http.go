@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dcfail/internal/core"
+	"dcfail/internal/mine"
 	"dcfail/internal/predict"
 )
 
@@ -104,11 +105,22 @@ type StatsReply struct {
 	Drained  bool   `json:"drained"`
 	// LastFold is when the current epoch was published (zero before the
 	// first fold); IngestLagMS is how long the oldest pending (not yet
-	// folded) state has been waiting — 0 when nothing is pending.
+	// folded) ticket has been waiting since it arrived — 0 when nothing
+	// is pending.
 	LastFold    time.Time `json:"last_fold"`
 	IngestLagMS int64     `json:"ingest_lag_ms"`
-	CacheHits   uint64    `json:"cache_hits"`
-	CacheMisses uint64    `json:"cache_misses"`
+	// The two clocks. Folds counts published epochs (ticket visibility);
+	// ReportEpoch is the epoch /report currently renders from,
+	// ReportAdvances how often that view has moved, and ReportLagMS how
+	// long the oldest epoch it does not cover has been waiting (0 while
+	// the view is at Epoch; bounded by FoldInterval while reports are
+	// being asked for).
+	Folds          uint64 `json:"folds"`
+	ReportEpoch    uint64 `json:"report_epoch"`
+	ReportAdvances uint64 `json:"report_advances"`
+	ReportLagMS    int64  `json:"report_lag_ms"`
+	CacheHits      uint64 `json:"cache_hits"`
+	CacheMisses    uint64 `json:"cache_misses"`
 	// CacheWaits counts readers that piggybacked on another request's
 	// in-flight render — neither a hit (they blocked) nor a miss (the
 	// renderer already counted the compute).
@@ -122,9 +134,12 @@ type StatsReply struct {
 	IncEpoch    uint64                        `json:"incremental_epoch"`
 	IncRebuilds uint64                        `json:"incremental_rebuilds"`
 	IncBroken   []string                      `json:"incremental_broken,omitempty"`
-	Alerts      uint64                        `json:"alerts"`
-	SourceDrops uint64                        `json:"source_drops"`
-	IngestError string                        `json:"ingest_error,omitempty"`
+	// MineRebuilds counts folds whose batch sorted before already indexed
+	// rows, so the /hosts mining index was rebuilt instead of extended.
+	MineRebuilds uint64 `json:"mine_rebuilds"`
+	Alerts       uint64 `json:"alerts"`
+	SourceDrops  uint64 `json:"source_drops"`
+	IngestError  string `json:"ingest_error,omitempty"`
 	// Predict is the streaming risk-scoring engine's health: hosts
 	// tracked, scores served, cumulative fold cost, rebuilds.
 	Predict predict.EngineStats `json:"predict"`
@@ -135,28 +150,32 @@ func (d *Daemon) handleStats(w http.ResponseWriter, _ *http.Request) {
 	hits, misses, cacheWaits := d.state.CacheStats()
 	secStats, engineStats := d.state.IncrementalStats()
 	_, alertN := d.Alerts()
+	folds, advances, viewEpoch, viewLag := d.state.ClockStats(d.now())
 	reply := StatsReply{
-		Epoch:       snap.Epoch(),
-		Tickets:     snap.Tickets(),
-		Ingested:    d.ingested.Load(),
-		Pending:     d.pending.Load(),
-		Drained:     d.drained.Load(),
-		LastFold:    snap.FoldedAt(),
-		CacheHits:   hits,
-		CacheMisses: misses,
-		CacheWaits:  cacheWaits,
-		IncSections: secStats,
-		IncEpoch:    engineStats.Epoch,
-		IncRebuilds: engineStats.Rebuilds,
-		IncBroken:   engineStats.Broken,
-		Alerts:      alertN,
-		Predict:     d.state.Predictor().Stats(),
+		Epoch:          snap.Epoch(),
+		Tickets:        snap.Tickets(),
+		Ingested:       d.ingested.Load(),
+		Pending:        d.pending.Load(),
+		Drained:        d.drained.Load(),
+		LastFold:       snap.FoldedAt(),
+		IngestLagMS:    d.ingestLag().Milliseconds(),
+		Folds:          folds,
+		ReportEpoch:    viewEpoch,
+		ReportAdvances: advances,
+		ReportLagMS:    viewLag.Milliseconds(),
+		CacheHits:      hits,
+		CacheMisses:    misses,
+		CacheWaits:     cacheWaits,
+		IncSections:    secStats,
+		IncEpoch:       engineStats.Epoch,
+		IncRebuilds:    engineStats.Rebuilds,
+		IncBroken:      engineStats.Broken,
+		MineRebuilds:   d.state.MineRebuilds(),
+		Alerts:         alertN,
+		Predict:        d.state.Predictor().Stats(),
 	}
 	if total := hits + misses; total > 0 {
 		reply.CacheRate = float64(hits) / float64(total)
-	}
-	if reply.Pending > 0 && !snap.FoldedAt().IsZero() {
-		reply.IngestLagMS = d.now().Sub(snap.FoldedAt()).Milliseconds()
 	}
 	reply.SourceDrops = d.sourceDrops()
 	if msg := d.ingestErr.Load(); msg != nil {
@@ -165,12 +184,39 @@ func (d *Daemon) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, reply)
 }
 
+// reportSnapshot picks the snapshot a /report or /report/{section}
+// request renders from: the report view, which follows Current on its
+// own clock. The view catches up when it has stood for FoldInterval —
+// so under steady ingest it moves, and invalidates sections, at most
+// once per interval, and after a quiet interval the next report is
+// current — or at once when the client's X-Min-Epoch is above it: a
+// monotonic-read bound is never answered from an older view.
+func (d *Daemon) reportSnapshot(w http.ResponseWriter, r *http.Request) (*Snapshot, bool) {
+	minEpoch := uint64(0)
+	if raw := r.Header.Get("X-Min-Epoch"); raw != "" {
+		v, err := strconv.ParseUint(raw, 10, 64)
+		if err != nil {
+			http.Error(w, "bad X-Min-Epoch", http.StatusBadRequest)
+			return nil, false
+		}
+		minEpoch = v
+	}
+	view, at := d.state.ReportView()
+	if view.Epoch() >= d.state.Current().Epoch() {
+		return view, true
+	}
+	if now := d.now(); minEpoch > view.Epoch() || now.Sub(at) >= d.opts.FoldInterval {
+		return d.state.AdvanceReportView(now), true
+	}
+	return view, true
+}
+
 // handleReport serves the full paper report, or a comma-separated subset
 // via ?sections=table1,fig5. The body is byte-identical to what
 // report.SerialReference prints for the same tickets: every section is
 // rendered from the single snapshot grabbed at entry, so a response
 // during active ingestion is still one self-consistent epoch (headers
-// X-Epoch and X-Tickets say which).
+// X-Epoch and X-Tickets say which, on error replies too).
 func (d *Daemon) handleReport(w http.ResponseWriter, r *http.Request) {
 	ids := d.state.SectionIDs()
 	if raw := r.URL.Query().Get("sections"); raw != "" {
@@ -200,7 +246,11 @@ func (d *Daemon) handleReport(w http.ResponseWriter, r *http.Request) {
 		}
 		ids = sel
 	}
-	snap := d.state.Current()
+	snap, ok := d.reportSnapshot(w, r)
+	if !ok {
+		return
+	}
+	writeSnapshotHeaders(w, snap)
 	results, err := d.state.RenderSections(snap, ids)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -212,7 +262,6 @@ func (d *Daemon) handleReport(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	writeSnapshotHeaders(w, snap)
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	bundle.WriteTo(w)
 }
@@ -220,7 +269,11 @@ func (d *Daemon) handleReport(w http.ResponseWriter, r *http.Request) {
 // handleSection serves one section's body alone (no trailing separator).
 func (d *Daemon) handleSection(w http.ResponseWriter, r *http.Request) {
 	id := strings.ToLower(r.PathValue("section"))
-	snap := d.state.Current()
+	snap, ok := d.reportSnapshot(w, r)
+	if !ok {
+		return
+	}
+	writeSnapshotHeaders(w, snap)
 	results, err := d.state.RenderSections(snap, []string{id})
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusNotFound)
@@ -230,7 +283,6 @@ func (d *Daemon) handleSection(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("%s: %v", id, results[0].Err), http.StatusInternalServerError)
 		return
 	}
-	writeSnapshotHeaders(w, snap)
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.Write(results[0].Text)
 }
@@ -273,12 +325,23 @@ func (d *Daemon) handleHost(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
 	}
-	tickets := mix.HostTickets(host)
-	if len(tickets) == 0 {
+	reply, ok := hostReply(mix, host, snap.Epoch())
+	if !ok {
 		http.Error(w, fmt.Sprintf("host %d has no tickets", host), http.StatusNotFound)
 		return
 	}
-	reply := HostReply{HostID: host, Epoch: snap.Epoch()}
+	writeSnapshotHeaders(w, snap)
+	writeJSON(w, reply)
+}
+
+// hostReply assembles one host's reply from a mining index; ok is false
+// for a host without tickets.
+func hostReply(mix *mine.Index, host, epoch uint64) (reply HostReply, ok bool) {
+	tickets := mix.HostTickets(host)
+	if len(tickets) == 0 {
+		return reply, false
+	}
+	reply = HostReply{HostID: host, Epoch: epoch}
 	for _, t := range tickets {
 		reply.Tickets = append(reply.Tickets, HostTicket{
 			ID:       t.ID,
@@ -297,8 +360,7 @@ func (d *Daemon) handleHost(w http.ResponseWriter, r *http.Request) {
 		reply.BatchSuspect = ctx.IsBatchSuspect()
 		reply.TwinHosts = ctx.TwinHosts
 	}
-	writeSnapshotHeaders(w, snap)
-	writeJSON(w, reply)
+	return reply, true
 }
 
 // AlertReply is one /alerts entry.

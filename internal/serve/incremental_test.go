@@ -31,10 +31,11 @@ func timeSorted(t *testing.T) ([]fot.Ticket, *State) {
 }
 
 // TestIncrementalRenderAccounting pins the serve wiring of the delta
-// path: current-epoch misses render from fold state (incremental counter
-// advances, fallback stays zero), a stale snapshot falls back to the
-// full recompute, and disabling the engine routes everything to the
-// fallback path.
+// path: misses on the report view render from fold state (incremental
+// counter advances, fallback stays zero) — also after later folds, which
+// no longer move the engine — a snapshot the view has left behind falls
+// back to the full recompute, and disabling the engine routes everything
+// to the fallback path.
 func TestIncrementalRenderAccounting(t *testing.T) {
 	tickets, st := timeSorted(t)
 	half := len(tickets) / 2
@@ -55,10 +56,26 @@ func TestIncrementalRenderAccounting(t *testing.T) {
 		t.Fatalf("engine stats = %+v, want no rebuilds, nothing broken", eng)
 	}
 
-	// A reader holding the old snapshot after a fold: the engine has
-	// moved on, so an uncached section on that snapshot must fall back —
-	// and still render the old epoch's bytes.
+	// A fold alone leaves the engine at the view: the old snapshot still
+	// renders from fold state.
 	st.Fold(tickets[half:], time.Now())
+	if view, _ := st.ReportView(); view != snap {
+		t.Fatalf("a fold moved the report view to epoch %d", view.Epoch())
+	}
+	if _, err := st.RenderSections(snap, []string{"fig2"}); err != nil {
+		t.Fatal(err)
+	}
+	sec, _ = st.IncrementalStats()
+	if got := sec["fig2"]; got.Incremental != 1 || got.Fallback != 0 {
+		t.Fatalf("fig2 on the view after a fold = %+v, want incremental=1 fallback=0", got)
+	}
+
+	// A reader holding the old snapshot after the view advanced: the
+	// engine has moved on, so an uncached section on that snapshot must
+	// fall back — and still render the old epoch's bytes.
+	if got := st.AdvanceReportView(time.Now()); got != st.Current() {
+		t.Fatalf("AdvanceReportView stopped at epoch %d, Current is %d", got.Epoch(), st.Current().Epoch())
+	}
 	res, err := st.RenderSections(snap, []string{"table2"})
 	if err != nil {
 		t.Fatal(err)

@@ -15,11 +15,12 @@ import (
 )
 
 // Snapshot is one immutable epoch of the live analytics state: a
-// consistent TraceIndex over every ticket folded so far, plus the
-// per-epoch section cache and a lazily built mining index. Readers that
-// grab a Snapshot keep exactly this view no matter how many folds happen
-// afterwards — all sections they render come from the same ticket
-// prefix, which is what makes a mid-ingestion report self-consistent.
+// consistent TraceIndex over every ticket folded so far, the mining
+// index clipped to the same rows, and the cache of whatever sections
+// were rendered from it. Readers that grab a Snapshot keep exactly this
+// view no matter how many folds happen afterwards — all sections they
+// render come from the same ticket prefix, which is what makes a
+// mid-ingestion report self-consistent.
 type Snapshot struct {
 	epoch    uint64
 	index    *fot.TraceIndex
@@ -28,9 +29,8 @@ type Snapshot struct {
 
 	cache sectionCache
 
-	mineOnce sync.Once
-	mineIx   *mine.Index
-	mineErr  error
+	mineIx  *mine.Index
+	mineErr error
 }
 
 // Epoch returns the snapshot's fold generation (0 = empty, pre-ingest).
@@ -45,18 +45,16 @@ func (s *Snapshot) Index() *fot.TraceIndex { return s.index }
 // FoldedAt returns when this epoch was published.
 func (s *Snapshot) FoldedAt() time.Time { return s.foldedAt }
 
-// MineIndex returns the epoch's §VII-B mining index, built on first use
-// and cached for the life of the snapshot.
-func (s *Snapshot) MineIndex() (*mine.Index, error) {
-	s.mineOnce.Do(func() {
-		s.mineIx, s.mineErr = mine.NewIndex(s.index.All())
-	})
-	return s.mineIx, s.mineErr
-}
+// MineIndex returns the epoch's §VII-B mining index: the fold extended
+// the shared index by its batch, and this is the view of exactly the
+// snapshot's rows.
+func (s *Snapshot) MineIndex() (*mine.Index, error) { return s.mineIx, s.mineErr }
 
-// sectionCache holds the rendered sections of one epoch. It only ever
-// grows; epoch advance abandons the whole cache with its snapshot, so
-// nothing stale can survive a fold. inflight dedups concurrent misses:
+// sectionCache holds the rendered sections of one snapshot, filled on
+// first use (most epochs are never rendered). It only ever grows; a
+// report-view advance starts the next snapshot's cache from the entries
+// the engine proved unchanged and abandons the rest with the snapshot,
+// so nothing stale can outlive it. inflight dedups concurrent misses:
 // the first reader to miss a section computes it, later readers wait on
 // its channel (closed when the result lands in done) instead of racing
 // duplicate renders — on a fresh epoch under a request stampede, N
@@ -68,13 +66,29 @@ type sectionCache struct {
 	inflight map[string]chan struct{}
 }
 
+// init makes the maps on first use. Callers hold mu.
+func (c *sectionCache) init() {
+	if c.done == nil {
+		c.done = make(map[string]core.SectionResult)
+		c.inflight = make(map[string]chan struct{})
+	}
+}
+
 // State is the incrementally updated analytics state behind the query
 // daemon: an epoch-based copy-on-append snapshot model. One ingest
 // goroutine folds new tickets into the next epoch with Fold; any number
-// of readers take the current Snapshot with Current and render sections
-// against it. The ticket backing array is append-only and every
-// published index views a capped prefix of it, so folding never copies
-// the history and never invalidates a reader's view.
+// of readers take the current Snapshot with Current. The ticket backing
+// array is append-only and every published index views a capped prefix
+// of it, so folding never copies the history and never invalidates a
+// reader's view.
+//
+// A fold does only work proportional to its batch (index, predictor and
+// mining-index extension), so a ticket is visible as soon as it is
+// folded. The report's section state costs O(state) to re-render and so
+// runs on its own clock: the report view is the snapshot the section
+// engine was last advanced to, and it moves — over however many epochs
+// were folded meanwhile, in one engine call — only when a reader asks
+// (AdvanceReportView, or RenderSections of a newer snapshot).
 type State struct {
 	census   *core.Census
 	workers  int
@@ -83,6 +97,8 @@ type State struct {
 
 	foldMu sync.Mutex // serializes folds; Current never takes it
 	all    []fot.Ticket
+	mineB  mine.IndexBuilder
+	folds  atomic.Uint64
 
 	watchMu  sync.Mutex
 	watchers map[chan struct{}]struct{}
@@ -93,20 +109,45 @@ type State struct {
 	misses atomic.Uint64
 	waits  atomic.Uint64
 
-	// engine carries every section's incremental fold state; folds advance
-	// it under foldMu, renders consult it before falling back to the full
-	// recompute. incOff disables the delta path (benchmark baseline,
-	// operational escape hatch).
+	// engine carries every section's incremental fold state. It is
+	// advanced to the report view's snapshot under view.mu; renders of that
+	// snapshot consult it before falling back to the full recompute.
+	// incOff disables the delta path (benchmark baseline, operational
+	// escape hatch).
 	engine  *core.IncrementalEngine
 	incOff  atomic.Bool
 	secStat map[string]*sectionRenderCounters
 
+	view viewClock
+
 	// pred is the streaming failure predictor behind /predict and
-	// /atrisk. It advances on the same fold path as engine — including
-	// the replica FoldTo path — so every replica serving epoch N ranks
-	// hosts from identical feature state.
+	// /atrisk. It advances on the fold path — including the replica
+	// FoldTo path — so every replica serving epoch N ranks hosts from
+	// identical feature state.
 	pred *predict.Engine
 }
+
+// reportView is the snapshot the section engine stands at, and when it
+// got there.
+type reportView struct {
+	snap *Snapshot
+	at   time.Time
+}
+
+// viewClock is the report's clock: the current view, how often it has
+// moved, and since when it has been behind.
+type viewClock struct {
+	mu       sync.Mutex // serializes advances
+	cur      atomic.Pointer[reportView]
+	advances atomic.Uint64
+	// behind is when the oldest epoch the view does not cover was folded
+	// (unix nanos; 0 while the view is at Current).
+	behind atomic.Int64
+}
+
+// publish installs v as the report view. Callers hold mu, or own the
+// State in its constructor.
+func (c *viewClock) publish(v *reportView) { c.cur.Store(v) }
 
 // sectionRenderCounters tracks how one section's cache misses were
 // served: from carried fold state, or by the full recompute.
@@ -141,8 +182,10 @@ func NewState(census *core.Census, workers int) *State {
 		st.secStat[id] = &sectionRenderCounters{}
 	}
 	st.pred = predict.NewEngine(predict.Options{})
+	empty := st.newSnapshot(nil, 0, nil, time.Time{})
 	//lint:ignore epochpub epoch-0 bootstrap: the empty snapshot is installed before State escapes the constructor, so no reader can race it
-	st.cur.Store(st.newSnapshot(nil, 0, nil, time.Time{}))
+	st.cur.Store(empty)
+	st.view.publish(&reportView{snap: empty})
 	return st
 }
 
@@ -164,20 +207,19 @@ func (st *State) Predictor() *predict.Engine { return st.pred }
 func (st *State) SetIncremental(enabled bool) { st.incOff.Store(!enabled) }
 
 // newSnapshot indexes view as an incremental extension of the previous
-// epoch's index: the columnar decomposition and global time permutation
-// of the shared ticket prefix carry over, so a fold pays for its batch,
-// not the whole history.
+// epoch's index: the columnar decomposition, the global time permutation
+// and the mining index's posting lists of the shared ticket prefix carry
+// over, so a fold pays for its batch, not the whole history. Callers
+// hold foldMu (or own the State, in the constructor).
 func (st *State) newSnapshot(prev *fot.TraceIndex, epoch uint64, view []fot.Ticket, at time.Time) *Snapshot {
-	return &Snapshot{
+	snap := &Snapshot{
 		epoch:    epoch,
 		index:    fot.ExtendTraceIndex(prev, fot.NewTrace(view)),
 		tickets:  len(view),
 		foldedAt: at,
-		cache: sectionCache{
-			done:     make(map[string]core.SectionResult),
-			inflight: make(map[string]chan struct{}),
-		},
 	}
+	snap.mineIx, snap.mineErr = st.mineB.Extend(snap.index.All())
+	return snap
 }
 
 // Current returns the live snapshot. Wait-free; safe from any goroutine.
@@ -219,6 +261,7 @@ func (st *State) FoldTo(batch []fot.Ticket, epoch uint64, now time.Time) (*Snaps
 }
 
 // publish appends batch (possibly empty) and installs the new epoch.
+// Everything here is O(batch): the section engine is not on this path.
 // Callers hold foldMu.
 func (st *State) publish(batch []fot.Ticket, epoch uint64, now time.Time) *Snapshot {
 	prev := st.cur.Load()
@@ -227,22 +270,81 @@ func (st *State) publish(batch []fot.Ticket, epoch uint64, now time.Time) *Snaps
 	// later Fold's appends, even when they land in the same array.
 	view := st.all[:len(st.all):len(st.all)]
 	snap := st.newSnapshot(prev.index, epoch, view, now)
-	// Fold the appended rows into the engine, then pre-seed the new
-	// epoch's cache with every rendered section the fold provably left
-	// byte-identical: a warm epoch advance re-renders only what changed.
-	changed := st.engine.Advance(snap.index, epoch)
 	st.pred.Advance(snap.index, epoch)
-	prev.cache.mu.Lock()
-	for id, res := range prev.cache.done {
-		//lint:ignore maporder cache carry-over; per-key copy, order immaterial
-		if !changed[id] {
-			snap.cache.done[id] = res
-		}
-	}
-	prev.cache.mu.Unlock()
+	st.folds.Add(1)
 	st.cur.Store(snap)
+	st.view.behind.CompareAndSwap(0, now.UnixNano())
 	st.notifyWatchers()
 	return snap
+}
+
+// ReportView returns the snapshot /report renders from — the newest one
+// the section engine has been advanced to — and when it was advanced
+// (zero for the initial empty view).
+func (st *State) ReportView() (*Snapshot, time.Time) {
+	v := st.view.cur.Load()
+	return v.snap, v.at
+}
+
+// AdvanceReportView brings the report view up to Current and returns it.
+// The engine folds every row published since the previous view in one
+// call, whatever number of epochs they arrived in. A view already at
+// Current is returned as it is, without touching at.
+func (st *State) AdvanceReportView(now time.Time) *Snapshot {
+	return st.advanceView(st.cur.Load(), now)
+}
+
+// advanceView moves the report view to snap unless it is already there
+// or past it, and returns the view's snapshot.
+func (st *State) advanceView(snap *Snapshot, now time.Time) *Snapshot {
+	if old := st.view.cur.Load().snap; old.epoch >= snap.epoch {
+		return old
+	}
+	st.view.mu.Lock()
+	defer st.view.mu.Unlock()
+	old := st.view.cur.Load().snap
+	if old.epoch >= snap.epoch {
+		return old
+	}
+	// Fold the rows the view has not seen into the engine, then start the
+	// new view's cache from every rendered section they provably left
+	// byte-identical: a warm advance re-renders only what changed.
+	changed := st.engine.Advance(snap.index, snap.epoch)
+	// snap has never been rendered — every render passes through here
+	// first — so its cache is still unmade and the carried entries become
+	// it.
+	carried := make(map[string]core.SectionResult, len(st.order))
+	old.cache.mu.Lock()
+	for id, res := range old.cache.done {
+		//lint:ignore maporder cache carry-over; per-key copy, order immaterial
+		if !changed[id] {
+			carried[id] = res
+		}
+	}
+	old.cache.mu.Unlock()
+	snap.cache.mu.Lock()
+	snap.cache.done, snap.cache.inflight = carried, make(map[string]chan struct{})
+	snap.cache.mu.Unlock()
+	st.view.publish(&reportView{snap: snap, at: now})
+	st.view.advances.Add(1)
+	// The view is caught up unless a fold slipped in behind snap; that
+	// fold either saw the zero and stamped itself, or is stamped here.
+	st.view.behind.Store(0)
+	if cur := st.cur.Load(); cur.epoch > snap.epoch {
+		st.view.behind.CompareAndSwap(0, cur.foldedAt.UnixNano())
+	}
+	return snap
+}
+
+// ClockStats reports the two clocks side by side: lifetime folds
+// (epochs published), lifetime report-view advances, the view's epoch,
+// and how long the oldest epoch the view does not cover has been waiting
+// (0 while the view is at Current).
+func (st *State) ClockStats(now time.Time) (folds, advances, viewEpoch uint64, viewLag time.Duration) {
+	if since := st.view.behind.Load(); since != 0 {
+		viewLag = now.Sub(time.Unix(0, since))
+	}
+	return st.folds.Load(), st.view.advances.Load(), st.view.cur.Load().snap.epoch, viewLag
 }
 
 // Rows returns rows [from, to) of the append-only ticket log. Published
@@ -309,13 +411,20 @@ func (st *State) IncrementalStats() (map[string]SectionRenderStats, core.Increme
 	return out, st.engine.Stats()
 }
 
+// MineRebuilds counts the folds whose batch could not extend the mining
+// index in place (out-of-order rows) and rebuilt it instead.
+func (st *State) MineRebuilds() uint64 { return st.mineB.Rebuilds() }
+
 // RenderSections renders the requested section ids against one snapshot,
-// serving repeats from the epoch's cache and recomputing every missing
-// section in parallel through core.Runner. Concurrent misses of the same
-// section are deduplicated: exactly one caller renders it, the rest wait
-// for its result. Results come back in the requested order; an unknown
-// id is an error.
+// serving repeats from the snapshot's cache and recomputing every missing
+// section in parallel through core.Runner. A snapshot newer than the
+// report view pulls the view (and the section engine) up to itself first;
+// one the view has already left behind renders by full recompute.
+// Concurrent misses of the same section are deduplicated: exactly one
+// caller renders it, the rest wait for its result. Results come back in
+// the requested order; an unknown id is an error.
 func (st *State) RenderSections(snap *Snapshot, ids []string) ([]core.SectionResult, error) {
+	st.advanceView(snap, snap.foldedAt)
 	results := make([]core.SectionResult, len(ids))
 	var missing []core.Section
 	var missingAt []int
@@ -327,6 +436,7 @@ func (st *State) RenderSections(snap *Snapshot, ids []string) ([]core.SectionRes
 	var waits []waiter
 
 	snap.cache.mu.Lock()
+	snap.cache.init()
 	for i, id := range ids {
 		if res, ok := snap.cache.done[id]; ok {
 			results[i] = res
